@@ -39,7 +39,7 @@ void run_workload(benchmark::State& state) {
   std::size_t fired = 0;
   for (auto _ : state) {
     rl::RuleHarness h;
-    h.set_match_strategy(rl::MatchStrategy::kIndexed);
+    h.set_match_strategy(rl::MatchStrategy::kBeta);
     for (const auto& r : rules) h.add_rule(r);
     for (const auto& f : facts) h.assert_fact(f);
     fired = h.process_rules(1u << 20);

@@ -1,8 +1,8 @@
 // Shared rule-engine benchmark workload, the shape the analysis layer
 // produces: many MeanEventFact-style facts partitioned into groups,
 // selective single-pattern threshold rules, inequality band rules whose
-// first pattern no equality index can probe (every strategy except the
-// beta network's shared admission pass re-scans the full type), a
+// first pattern no equality test can narrow (the naive matcher re-scans
+// the full type per band; the beta network shares one admission pass), a
 // two-pattern join, a three-pattern chained join, and a summary rule so
 // the engine runs multiple firing rounds.
 //
@@ -11,7 +11,7 @@
 // strategies, so keeping it small lets the benchmark measure *matching*
 // cost, which is what the strategies differ in.
 //
-// Used by bench_rules_engine (naive vs indexed vs beta scaling and
+// Used by bench_rules_engine (naive vs beta scaling and
 // fact-churn cycles) and bench_telemetry (the same fixed-size workload
 // built with and without telemetry compiled in / enabled).
 #pragma once
@@ -84,10 +84,9 @@ inline std::vector<rules::Rule> make_rules() {
   };
   out.push_back(std::move(hot));
 
-  // Inequality band rules: no equality constraint anywhere, so the alpha
-  // index cannot narrow the candidate set — the indexed matcher re-scans
-  // every MeanEventFact per band, while the beta network folds all bands
-  // into its one shared per-type admission pass.
+  // Inequality band rules: no equality constraint anywhere — the naive
+  // matcher re-scans every MeanEventFact per band, while the beta network
+  // folds all bands into its one shared per-type admission pass.
   for (const double lo : {0.2455, 0.4955, 0.7455}) {
     rl::Rule band;
     band.name = "band-" + std::to_string(lo);
@@ -106,8 +105,8 @@ inline std::vector<rules::Rule> make_rules() {
   }
 
   // Join: hot events paired with same-group siblings (the equality
-  // against a bound variable is the beta join: the indexed matcher
-  // probes a bucket per hot fact, the network keeps memoized tokens).
+  // against a bound variable is the beta join: the naive matcher scans
+  // every sibling per hot fact, the network keeps memoized tokens).
   rl::Rule join;
   join.name = "hot-group-pair";
   rl::Pattern p0;

@@ -1,7 +1,7 @@
 // Beta-memory join network: the kBeta matching strategy.
 //
-// Where the indexed matcher re-runs a delta-window join over working
-// memory every firing cycle, this network *memoizes* the join. For each
+// Where the naive oracle re-runs the whole join over working memory
+// every firing cycle, this network *memoizes* the join. For each
 // rule it keeps
 //
 //   * one alpha memory per pattern: the facts of the pattern's type

@@ -1,14 +1,15 @@
 // Built-in rulebases: the performance knowledge the paper captures.
 //
 // Each rulebase is the DSL source of the expert rules one case study
-// uses. They are embedded as strings (so the library needs no data-file
-// path at runtime) and also shipped as .rules files under rules/ for
-// editing — `perfknow::rules::parse_rules` accepts either.
+// uses. The text lives only in the shipped rules/*.rules files; the
+// build compiles each file in as a string (src/CMakeLists.txt), so the
+// library needs no data-file path at runtime and an edited .rules file
+// takes effect on the next build.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "rules/engine.hpp"
 
@@ -74,8 +75,13 @@ namespace perfknow::rules::builtin {
 /// openuh_rules() — it diagnoses the engine, not the application.
 [[nodiscard]] std::string_view rule_tuning();
 
-/// The union of all of the above — the "OpenUHRules" file of Fig. 1.
+/// The nine application rulebases above (stalls_per_cycle through
+/// openmp) joined in that order — the "OpenUHRules" file of Fig. 1.
 [[nodiscard]] std::string openuh_rules();
+
+/// The rulebase a builtin name spells ("openmp", "regression", ...,
+/// "openuh" for openuh_rules()); nullopt for any other name.
+[[nodiscard]] std::optional<std::string_view> find(std::string_view name);
 
 /// Parses one built-in rulebase into `harness`.
 void use(RuleHarness& harness, std::string_view rulebase_source);

@@ -96,22 +96,10 @@ std::string resolve_rulebase(const std::string& name,
                              const std::filesystem::path& rules_path) {
   namespace rb = rules::builtin;
   // The Fig. 1 name and friendly aliases map to the embedded rulebases.
-  if (name == "openuh/OpenUHRules.drl" || name == "OpenUHRules.drl" ||
-      name == "openuh") {
+  if (name == "openuh/OpenUHRules.drl" || name == "OpenUHRules.drl") {
     return rb::openuh_rules();
   }
-  if (name == "stalls_per_cycle") return std::string(rb::stalls_per_cycle());
-  if (name == "load_imbalance") return std::string(rb::load_imbalance());
-  if (name == "inefficiency") return std::string(rb::inefficiency());
-  if (name == "stall_coverage") return std::string(rb::stall_coverage());
-  if (name == "memory_locality") return std::string(rb::memory_locality());
-  if (name == "power") return std::string(rb::power());
-  if (name == "communication") return std::string(rb::communication());
-  if (name == "instrumentation") return std::string(rb::instrumentation());
-  if (name == "openmp") return std::string(rb::openmp());
-  if (name == "self_diagnosis") return std::string(rb::self_diagnosis());
-  if (name == "regression") return std::string(rb::regression());
-  if (name == "rule_tuning") return std::string(rb::rule_tuning());
+  if (const auto source = rb::find(name)) return std::string(*source);
   const auto slurp = [](std::ifstream& is) {
     std::ostringstream ss;
     ss << is.rdbuf();
@@ -495,13 +483,11 @@ void AnalysisSession::register_api() {
         const std::string name = arg_string(a, 0, "setMatchStrategy");
         if (name == "naive") {
           h->harness->set_match_strategy(rules::MatchStrategy::kNaive);
-        } else if (name == "indexed") {
-          h->harness->set_match_strategy(rules::MatchStrategy::kIndexed);
         } else if (name == "beta") {
           h->harness->set_match_strategy(rules::MatchStrategy::kBeta);
         } else {
           throw InvalidArgumentError(
-              "setMatchStrategy: expected 'naive', 'indexed', or 'beta', "
+              "setMatchStrategy: expected 'naive' or 'beta', "
               "got '" + name + "'");
         }
         return Value();
@@ -512,8 +498,6 @@ void AnalysisSession::register_api() {
         auto h = std::static_pointer_cast<HarnessHandle>(o->data);
         switch (h->harness->match_strategy()) {
           case rules::MatchStrategy::kNaive: return Value(std::string("naive"));
-          case rules::MatchStrategy::kIndexed:
-            return Value(std::string("indexed"));
           case rules::MatchStrategy::kBeta: break;
         }
         return Value(std::string("beta"));

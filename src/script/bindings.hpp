@@ -69,8 +69,8 @@ struct SessionOptions {
   std::filesystem::path rules_path = {};
 
   /// Rule-matching strategy installed on the session's harness. The
-  /// default is the memoized beta join network; kIndexed / kNaive stay
-  /// available as differential oracles (scripts can also switch at run
+  /// default is the memoized beta join network; kNaive stays available
+  /// as the differential oracle (scripts can also switch at run
   /// time via RuleHarness.setMatchStrategy).
   rules::MatchStrategy match_strategy = rules::MatchStrategy::kBeta;
 

@@ -75,11 +75,12 @@ int usage(std::ostream& err) {
   err << "\n"
          "import auto-detects the profile format (pkprof, pkb, json,\n"
          "benchjson, csv, tau); import-csv and import-tau remain as\n"
-         "aliases. explain runs the OpenUH rulebase with full provenance\n"
-         "capture and prints a proof tree per diagnosis; --from\n"
-         "re-renders a previously exported --json file. diff compares\n"
-         "two versions with rules/regression.rules (exit 3 when a\n"
-         "regression is diagnosed); bench2pkb ingests Google-Benchmark\n"
+         "aliases. import and bench2pkb start a new repository when\n"
+         "<repo-dir> holds none. explain runs the OpenUH rulebase with\n"
+         "full provenance capture and prints a proof tree per diagnosis;\n"
+         "--from re-renders a previously exported --json file. diff\n"
+         "compares two versions with rules/regression.rules (exit 3 when\n"
+         "a regression is diagnosed); bench2pkb ingests Google-Benchmark\n"
          "JSON as the next version of an experiment's history.\n"
          "rules-profile re-runs a trial's analysis with the per-rule\n"
          "cost profiler on, stores the attribution as a trial named\n"
@@ -500,7 +501,16 @@ int cmd_diff(const pk::perfdmf::Repository& repo,
   return regression ? 3 : 0;
 }
 
-int cmd_bench2pkb(const std::string& repo_dir,
+/// The repository in `dir`, or a new empty one when `dir` holds no
+/// index yet: the subcommands that add trials start a history.
+pk::perfdmf::Repository open_or_create(const std::string& dir) {
+  if (!std::filesystem::exists(std::filesystem::path(dir) / "index.tsv")) {
+    return {};
+  }
+  return pk::perfdmf::Repository::load(dir);
+}
+
+int cmd_bench2pkb(pk::perfdmf::Repository& repo, const std::string& repo_dir,
                   const std::vector<std::string>& args, std::ostream& out,
                   std::ostream& err) {
   // pkx <repo> bench2pkb <app> <exp> <version> <bench.json>...
@@ -517,12 +527,6 @@ int cmd_bench2pkb(const std::string& repo_dir,
   }
   if (files.empty()) return usage_for("bench2pkb", err);
 
-  // Open-or-create: a missing repository directory starts a new history.
-  pk::perfdmf::Repository repo;
-  if (std::filesystem::exists(std::filesystem::path(repo_dir) /
-                              "index.tsv")) {
-    repo = pk::perfdmf::Repository::load(repo_dir);
-  }
   auto trial = std::make_shared<pk::profile::Trial>(
       pk::io::trial_from_benchmark_files(files, args[4]));
   const std::size_t events = trial->event_count();
@@ -535,7 +539,7 @@ int cmd_bench2pkb(const std::string& repo_dir,
   return 0;
 }
 
-int cmd_prune(const std::string& repo_dir,
+int cmd_prune(pk::perfdmf::Repository& repo, const std::string& repo_dir,
               const std::vector<std::string>& args, std::ostream& out,
               std::ostream& err) {
   // pkx <repo> prune <app> <exp> --keep <n>
@@ -548,7 +552,6 @@ int cmd_prune(const std::string& repo_dir,
   } catch (const pk::ParseError&) {
     return usage_for("prune", err);
   }
-  auto repo = pk::perfdmf::Repository::load(repo_dir);
   const auto removed = repo.prune_history(
       args[2], args[3], static_cast<std::size_t>(keep));
   repo.save(repo_dir);
@@ -906,14 +909,10 @@ int pkx_main(const std::vector<std::string>& args, std::ostream& out,
     if (args.size() < 2) return usage(err);
     cmd = args[1];
 
-    // bench2pkb creates the repository on first ingest, so it opens (or
-    // not) for itself before the common load below.
-    if (cmd == "bench2pkb") {
-      if (args.size() < 6) return usage_for("bench2pkb", err);
-      return cmd_bench2pkb(args[0], args, out, err);
-    }
-
-    auto repo = pk::perfdmf::Repository::load(args[0]);
+    const bool adds_trials = cmd == "bench2pkb" || cmd == "import" ||
+                             cmd == "import-csv" || cmd == "import-tau";
+    auto repo = adds_trials ? open_or_create(args[0])
+                            : pk::perfdmf::Repository::load(args[0]);
 
     if (cmd == "list") {
       if (args.size() != 2) return usage_for("list", err);
@@ -970,8 +969,12 @@ int pkx_main(const std::vector<std::string>& args, std::ostream& out,
       if (args.size() != 4) return usage_for("history", err);
       return cmd_history(repo, args[2], args[3], out);
     }
+    if (cmd == "bench2pkb") {
+      if (args.size() < 6) return usage_for("bench2pkb", err);
+      return cmd_bench2pkb(repo, args[0], args, out, err);
+    }
     if (cmd == "prune") {
-      return cmd_prune(args[0], args, out, err);
+      return cmd_prune(repo, args[0], args, out, err);
     }
     if (cmd == "export-csv") {
       if (args.size() != 6) return usage_for("export-csv", err);

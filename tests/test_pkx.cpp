@@ -284,6 +284,21 @@ TEST(PkxImport, AutoDetectsBenchmarkJson) {
   EXPECT_NE(shown.out.find("bench.host_name"), std::string::npos);
 }
 
+TEST(PkxImport, StartsARepositoryInAFreshDirectory) {
+  TempDir scratch;
+  const auto file = write_bench_json(scratch.path() / "suite.json",
+                                     {{"BM_A", 10.0}, {"BM_B", 20.0}});
+  const std::string repo = (scratch.path() / "fresh").string();
+  // Read-only subcommands still need an existing repository.
+  EXPECT_EQ(pkx({repo, "list"}).code, 1);
+
+  const auto imported = pkx({repo, "import", file.string(), "app", "exp"});
+  ASSERT_EQ(imported.code, 0) << imported.err;
+  const auto listed = pkx({repo, "list"});
+  EXPECT_EQ(listed.code, 0) << listed.err;
+  EXPECT_NE(listed.out.find("suite"), std::string::npos) << listed.out;
+}
+
 TEST(PkxRulesProfile, ProfilesStoresAndDiagnosesAPlantedRule) {
   TempDir repo;
   TempDir scratch;
